@@ -58,57 +58,24 @@ pub struct IngestStats {
     pub peak_queue_depth: usize,
 }
 
-#[derive(Debug, Default)]
-struct StatsCells {
-    accepted: AtomicU64,
-    duplicates: AtomicU64,
-    backpressured: AtomicU64,
-    rejected: AtomicU64,
-    peak_queue_depth: AtomicUsize,
-}
-
-/// Cached obs handles mirroring [`StatsCells`] onto the registry
-/// (`collector.ingest.*` counters, the `collector.queue.depth` gauge, and
-/// the `collector.ingest.submit` latency histogram via a per-call span).
-struct ObsHandles {
-    registry: Arc<Registry>,
-    accepted: Counter,
-    duplicates: Counter,
-    backpressured: Counter,
-    rejected: Counter,
-    queue_depth: Gauge,
-}
-
-impl std::fmt::Debug for ObsHandles {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsHandles")
-            .field("registry", &self.registry)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ObsHandles {
-    fn new(registry: Arc<Registry>) -> Self {
-        ObsHandles {
-            accepted: registry.counter("collector.ingest.accepted"),
-            duplicates: registry.counter("collector.ingest.duplicates"),
-            backpressured: registry.counter("collector.ingest.backpressured"),
-            rejected: registry.counter("collector.ingest.rejected"),
-            queue_depth: registry.gauge("collector.queue.depth"),
-            registry,
-        }
-    }
-}
-
 /// Parse + dedup + enqueue, shared by every protocol worker.
+///
+/// Each ingest outcome is counted once, in a cell this core owns in its
+/// registry (`collector.ingest.*`); [`Self::stats`] reads those cells, so
+/// the stats stay exact even when several cores share one registry.
 #[derive(Debug)]
 pub struct IngestCore {
     queue: BoundedQueue<ClientReport>,
     dedup: ReplayFilter,
     config: IngestConfig,
     arrival: AtomicU64,
-    stats: StatsCells,
-    obs: ObsHandles,
+    peak_queue_depth: AtomicUsize,
+    registry: Arc<Registry>,
+    accepted: Counter,
+    duplicates: Counter,
+    backpressured: Counter,
+    rejected: Counter,
+    queue_depth: Gauge,
 }
 
 impl IngestCore {
@@ -126,15 +93,20 @@ impl IngestCore {
             queue: BoundedQueue::new(config.queue_capacity),
             dedup: ReplayFilter::new(config.dedup_capacity),
             arrival: AtomicU64::new(0),
-            stats: StatsCells::default(),
-            obs: ObsHandles::new(registry),
+            peak_queue_depth: AtomicUsize::new(0),
+            accepted: registry.owned_counter("collector.ingest.accepted"),
+            duplicates: registry.owned_counter("collector.ingest.duplicates"),
+            backpressured: registry.owned_counter("collector.ingest.backpressured"),
+            rejected: registry.owned_counter("collector.ingest.rejected"),
+            queue_depth: registry.gauge("collector.queue.depth"),
+            registry,
             config,
         }
     }
 
     /// The registry this core reports into.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.obs.registry
+        &self.registry
     }
 
     /// The report queue the epoch manager drains.
@@ -155,7 +127,7 @@ impl IngestCore {
     /// `Duplicate`; a retry racing an in-flight first attempt answers
     /// `RetryAfter`, never a false "already queued".
     pub fn ingest(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: SocketAddr) -> Response {
-        let span = self.obs.registry.span("collector.ingest.submit");
+        let span = self.registry.span("collector.ingest.submit");
         let response = self.ingest_inner(nonce, report, peer);
         span.finish();
         response
@@ -163,8 +135,7 @@ impl IngestCore {
 
     fn ingest_inner(&self, nonce: &[u8; NONCE_LEN], report: &[u8], peer: SocketAddr) -> Response {
         if report.len() > self.config.max_report_len {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            self.obs.rejected.inc();
+            self.rejected.inc();
             return Response::Rejected {
                 reason: "report exceeds maximum size".to_string(),
             };
@@ -172,8 +143,7 @@ impl IngestCore {
         let outer = match HybridCiphertext::from_bytes(report) {
             Ok(ct) => ct,
             Err(_) => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                self.obs.rejected.inc();
+                self.rejected.inc();
                 return Response::Rejected {
                     reason: "report is not a hybrid ciphertext".to_string(),
                 };
@@ -181,13 +151,11 @@ impl IngestCore {
         };
         match self.dedup.begin(nonce) {
             NonceCheck::Duplicate => {
-                self.stats.duplicates.fetch_add(1, Ordering::Relaxed);
-                self.obs.duplicates.inc();
+                self.duplicates.inc();
                 return Response::Duplicate;
             }
             NonceCheck::InFlight | NonceCheck::Full => {
-                self.stats.backpressured.fetch_add(1, Ordering::Relaxed);
-                self.obs.backpressured.inc();
+                self.backpressured.inc();
                 return Response::RetryAfter {
                     millis: self.config.retry_after_ms,
                 };
@@ -201,21 +169,17 @@ impl IngestCore {
         match self.queue.try_push(report) {
             Ok(()) => {
                 self.dedup.commit(nonce);
-                self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                self.obs.accepted.inc();
+                self.accepted.inc();
                 let depth = self.queue.len();
-                self.stats
-                    .peak_queue_depth
-                    .fetch_max(depth, Ordering::Relaxed);
-                self.obs.queue_depth.set(depth as i64);
+                self.peak_queue_depth.fetch_max(depth, Ordering::Relaxed);
+                self.queue_depth.set(depth as i64);
                 Response::Ack {
                     pending: depth as u32,
                 }
             }
             Err(PushError::Full(_)) | Err(PushError::Closed(_)) => {
                 self.dedup.abort(nonce);
-                self.stats.backpressured.fetch_add(1, Ordering::Relaxed);
-                self.obs.backpressured.inc();
+                self.backpressured.inc();
                 Response::RetryAfter {
                     millis: self.config.retry_after_ms,
                 }
@@ -251,14 +215,14 @@ impl IngestCore {
         }
     }
 
-    /// A snapshot of the ingestion counters.
+    /// A snapshot of the ingestion counters, read from this core's cells.
     pub fn stats(&self) -> IngestStats {
         IngestStats {
-            accepted: self.stats.accepted.load(Ordering::Relaxed),
-            duplicates: self.stats.duplicates.load(Ordering::Relaxed),
-            backpressured: self.stats.backpressured.load(Ordering::Relaxed),
-            rejected: self.stats.rejected.load(Ordering::Relaxed),
-            peak_queue_depth: self.stats.peak_queue_depth.load(Ordering::Relaxed),
+            accepted: self.accepted.get(),
+            duplicates: self.duplicates.get(),
+            backpressured: self.backpressured.get(),
+            rejected: self.rejected.get(),
+            peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
         }
     }
 }
@@ -419,11 +383,11 @@ mod tests {
         let core = IngestCore::with_registry(IngestConfig::default(), Arc::clone(&registry));
         let report = sealed_report(&mut rng);
         core.ingest(&nonce(0), &report, peer());
-        assert_eq!(core.stats().accepted, 1, "legacy stats are unconditional");
-        // The handles exist (registered at construction) but recorded
-        // nothing while the registry is disabled.
+        assert_eq!(core.stats().accepted, 1, "stats are unconditional");
+        // Counters are the stats' only record, so they count while the
+        // registry is disabled; only clock-reading telemetry is off.
         let snap = registry.snapshot();
-        assert_eq!(snap.get("collector.ingest.accepted"), Some(0.0));
+        assert_eq!(snap.get("collector.ingest.accepted"), Some(1.0));
         // Disabled spans never even register the latency histogram.
         assert_eq!(snap.get("collector.ingest.submit"), None);
     }

@@ -40,6 +40,7 @@ use prochlo_core::{
 };
 use prochlo_net::reactor::Event;
 use prochlo_net::{Conn, ConnStatus, FlushStatus, Interest, Reactor, Token, TokenBucket, Waker};
+use prochlo_obs::{Counter, Gauge};
 
 use crate::error::CollectorError;
 use crate::ingest::{IngestConfig, IngestCore, IngestStats};
@@ -137,9 +138,10 @@ impl Default for CollectorConfig {
 /// [`Deployment`] — but a collector shard in a networked topology plugs in
 /// a pipeline that ships the batch to out-of-process shufflers (see the
 /// fabric crate's `RemoteSplitPipeline`). Implementations receive batches
-/// in arrival order and **must canonicalize** (sort by outer-ciphertext
-/// bytes) before consuming epoch randomness, so identically-seeded runs
-/// replay byte-identically regardless of client scheduling.
+/// in arrival order and **must canonicalize** them with
+/// [`prochlo_core::canonicalize_batch`] before consuming epoch randomness,
+/// so identically-seeded runs replay byte-identically regardless of client
+/// scheduling.
 pub trait EpochPipeline: Send {
     /// Processes one epoch batch under `spec`.
     fn process(
@@ -213,29 +215,46 @@ pub struct CollectorStats {
     pub reports_processed: u64,
 }
 
-/// Everything the service threads share.
+/// Everything the service threads share. Counted facts live in cells
+/// this collector owns in its registry (`collector.conns.*`,
+/// `collector.epoch.*`); [`CollectorStats`] is read from them.
 #[derive(Debug)]
 struct Shared {
     ingest: IngestCore,
     shutting_down: AtomicBool,
-    connections: AtomicU64,
+    connections: Counter,
     connections_refused: AtomicU64,
-    connections_evicted: AtomicU64,
-    open_conns: AtomicU64,
-    epochs_cut: AtomicU64,
-    reports_processed: AtomicU64,
+    connections_evicted: Counter,
+    open_conns: Gauge,
+    epochs_cut: Counter,
+    reports_processed: Counter,
     epochs: Mutex<Vec<EpochResult>>,
 }
 
 impl Shared {
+    fn new(ingest: IngestCore) -> Self {
+        let registry = Arc::clone(ingest.registry());
+        Shared {
+            ingest,
+            shutting_down: AtomicBool::new(false),
+            connections: registry.owned_counter("collector.conns.accepted"),
+            connections_refused: AtomicU64::new(0),
+            connections_evicted: registry.owned_counter("collector.conns.evicted"),
+            open_conns: registry.owned_gauge("collector.conns.open"),
+            epochs_cut: registry.owned_counter("collector.epoch.cut"),
+            reports_processed: registry.owned_counter("collector.epoch.reports"),
+            epochs: Mutex::new(Vec::new()),
+        }
+    }
+
     fn stats_snapshot(&self) -> CollectorStats {
         CollectorStats {
             ingest: self.ingest.stats(),
-            connections: self.connections.load(Ordering::Relaxed),
+            connections: self.connections.get(),
             connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            connections_evicted: self.connections_evicted.load(Ordering::Relaxed),
-            epochs_cut: self.epochs_cut.load(Ordering::Relaxed),
-            reports_processed: self.reports_processed.load(Ordering::Relaxed),
+            connections_evicted: self.connections_evicted.get(),
+            epochs_cut: self.epochs_cut.get(),
+            reports_processed: self.reports_processed.get(),
         }
     }
 }
@@ -308,25 +327,15 @@ impl Collector {
             .registry
             .clone()
             .unwrap_or_else(|| Arc::clone(prochlo_obs::global()));
-        let shared = Arc::new(Shared {
-            ingest: IngestCore::with_registry(
-                IngestConfig {
-                    queue_capacity: config.queue_capacity,
-                    max_report_len: config.max_report_len,
-                    dedup_capacity: config.dedup_capacity,
-                    retry_after_ms: config.retry_after_ms,
-                },
-                registry,
-            ),
-            shutting_down: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            connections_refused: AtomicU64::new(0),
-            connections_evicted: AtomicU64::new(0),
-            open_conns: AtomicU64::new(0),
-            epochs_cut: AtomicU64::new(0),
-            reports_processed: AtomicU64::new(0),
-            epochs: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(IngestCore::with_registry(
+            IngestConfig {
+                queue_capacity: config.queue_capacity,
+                max_report_len: config.max_report_len,
+                dedup_capacity: config.dedup_capacity,
+                retry_after_ms: config.retry_after_ms,
+            },
+            registry,
+        )));
 
         // Reactors are created on this thread so every loop's waker (and
         // intake queue) exists before any loop runs; each reactor then
@@ -364,9 +373,6 @@ impl Collector {
                     shared: Arc::clone(&shared),
                     config: config.clone(),
                     rate_limit,
-                    conns_open: shared.ingest.registry().gauge("collector.conns.open"),
-                    conns_accepted: shared.ingest.registry().counter("collector.conns.accepted"),
-                    conns_evicted: shared.ingest.registry().counter("collector.conns.evicted"),
                 };
                 std::thread::Builder::new()
                     .name(format!("collector-loop-{index}"))
@@ -477,9 +483,6 @@ struct EventLoop {
     shared: Arc<Shared>,
     config: CollectorConfig,
     rate_limit: Option<u32>,
-    conns_open: prochlo_obs::Gauge,
-    conns_accepted: prochlo_obs::Counter,
-    conns_evicted: prochlo_obs::Counter,
 }
 
 impl EventLoop {
@@ -622,17 +625,9 @@ impl EventLoop {
             return;
         }
         self.reactor.deregister(token);
-        let remaining = self
-            .shared
-            .open_conns
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        self.conns_open.set(remaining as i64);
+        self.shared.open_conns.sub(1);
         if evicted {
-            self.shared
-                .connections_evicted
-                .fetch_add(1, Ordering::Relaxed);
-            self.conns_evicted.inc();
+            self.shared.connections_evicted.inc();
         }
     }
 
@@ -659,18 +654,17 @@ impl EventLoop {
         if self.shared.shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        let open = self.shared.open_conns.load(Ordering::Relaxed);
-        if open >= self.config.conn_backlog as u64 {
+        // Only loop 0 admits, so the check and the add cannot race
+        // another admission.
+        if self.shared.open_conns.get() >= self.config.conn_backlog as i64 {
             self.shared
                 .connections_refused
                 .fetch_add(1, Ordering::Relaxed);
             refuse(stream, &self.config);
             return;
         }
-        self.shared.open_conns.fetch_add(1, Ordering::Relaxed);
-        self.shared.connections.fetch_add(1, Ordering::Relaxed);
-        self.conns_accepted.inc();
-        self.conns_open.set(open as i64 + 1);
+        self.shared.open_conns.add(1);
+        self.shared.connections.inc();
         let target = self.next_loop % self.intakes.len();
         self.next_loop += 1;
         if target == self.index {
@@ -716,12 +710,7 @@ impl EventLoop {
 
     /// Un-counts a connection that died between dispatch and registration.
     fn release_slot(&mut self) {
-        let remaining = self
-            .shared
-            .open_conns
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        self.conns_open.set(remaining as i64);
+        self.shared.open_conns.sub(1);
     }
 }
 
@@ -790,8 +779,6 @@ fn refuse(mut stream: TcpStream, config: &CollectorConfig) {
 fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &CollectorConfig) {
     let queue = shared.ingest.queue();
     let registry = shared.ingest.registry();
-    let epochs_cut = registry.counter("collector.epoch.cut");
-    let epoch_reports = registry.counter("collector.epoch.reports");
     // The epoch flight recorder: one JSONL line per cut epoch when
     // PROCHLO_OBS_PATH names a sink.
     let flight = prochlo_obs::FlightRecorder::from_env();
@@ -814,12 +801,8 @@ fn epoch_loop(mut pipeline: Box<dyn EpochPipeline>, shared: &Shared, config: &Co
         let span = registry.span("collector.epoch.process");
         let outcome = pipeline.process(&spec, batch);
         let process_seconds = span.finish();
-        shared
-            .reports_processed
-            .fetch_add(reports as u64, Ordering::Relaxed);
-        shared.epochs_cut.fetch_add(1, Ordering::Relaxed);
-        epochs_cut.inc();
-        epoch_reports.add(reports as u64);
+        shared.reports_processed.add(reports as u64);
+        shared.epochs_cut.inc();
         if let Some(flight) = &flight {
             flight.record(
                 "collector",
@@ -1059,6 +1042,57 @@ mod tests {
         assert_eq!(
             snap.get("collector.epoch.cut"),
             Some(summary.stats.epochs_cut as f64)
+        );
+    }
+
+    #[test]
+    fn collectors_sharing_a_registry_keep_exact_stats_and_sum_in_snapshots() {
+        let registry = Arc::new(prochlo_obs::Registry::new(true));
+        let config = || CollectorConfig {
+            registry: Some(Arc::clone(&registry)),
+            ..test_config()
+        };
+        let (first, first_encoder) = start_collector(101, config());
+        let (second, second_encoder) = start_collector(102, config());
+        let mut rng = StdRng::seed_from_u64(103);
+        for (collector, encoder, submits) in
+            [(&first, &first_encoder, 3), (&second, &second_encoder, 5)]
+        {
+            let mut client = CollectorClient::connect(collector.local_addr()).unwrap();
+            for i in 0..submits {
+                let report = encoder
+                    .encode_plain(b"v", CrowdStrategy::None, i, &mut rng)
+                    .unwrap();
+                let nonce = fresh_nonce(&mut rng);
+                let bytes = report.outer.to_bytes();
+                assert!(matches!(
+                    client.submit(&nonce, &bytes).unwrap(),
+                    Response::Ack { .. }
+                ));
+                if i == 0 {
+                    assert_eq!(client.submit(&nonce, &bytes).unwrap(), Response::Duplicate);
+                }
+            }
+        }
+        let first = first.shutdown().stats;
+        let second = second.shutdown().stats;
+        for (stats, submits) in [(&first, 3), (&second, 5)] {
+            assert_eq!(stats.ingest.accepted, submits);
+            assert_eq!(stats.ingest.duplicates, 1);
+            assert_eq!(stats.connections, 1);
+            assert_eq!(stats.reports_processed, submits);
+        }
+        // Snapshots taken after shutdown still hold both collectors'
+        // cells, summed per name.
+        let snap = registry.snapshot();
+        assert_eq!(snap.get("collector.ingest.accepted"), Some(8.0));
+        assert_eq!(snap.get("collector.ingest.duplicates"), Some(2.0));
+        assert_eq!(snap.get("collector.conns.accepted"), Some(2.0));
+        assert_eq!(snap.get("collector.conns.open"), Some(0.0));
+        assert_eq!(snap.get("collector.epoch.reports"), Some(8.0));
+        assert_eq!(
+            snap.get("collector.epoch.cut"),
+            Some((first.epochs_cut + second.epochs_cut) as f64)
         );
     }
 

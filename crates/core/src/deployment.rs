@@ -52,6 +52,17 @@ pub fn epoch_rng(seed: u64, epoch_index: u64) -> StdRng {
     StdRng::seed_from_u64(exec::mix_seed(seed, epoch_index))
 }
 
+/// Puts an epoch batch in canonical order: sorted by outer-ciphertext
+/// bytes. This *is* the determinism contract the golden fixtures pin.
+/// Sorting erases arrival order one stage before the shuffler sees the
+/// batch and makes it a pure function of its contents, so every path
+/// that consumes epoch randomness ([`EpochSession::finish`] in process,
+/// the fabric's remote split pipeline across processes) must call this
+/// one function before drawing from [`epoch_rng`].
+pub fn canonicalize_batch(batch: &mut [ClientReport]) {
+    batch.sort_by_cached_key(|report| report.outer.to_bytes());
+}
+
 /// The crowd-routing prefix of a label: the first eight bytes of
 /// `SHA-256(label)`, read big-endian — the same hash a hashed crowd ID
 /// already exposes to the shuffler, so routing on it reveals nothing a
@@ -574,16 +585,15 @@ impl EpochSession<'_> {
         self.reports.extend(reports);
     }
 
-    /// Canonicalizes the buffered batch (sorted by outer-ciphertext bytes,
-    /// erasing arrival order one stage before the shuffler even sees it)
-    /// and ingests it under the session's spec.
+    /// Canonicalizes the buffered batch ([`canonicalize_batch`]) and
+    /// ingests it under the session's spec.
     pub fn finish(self) -> Result<PipelineReport, PipelineError> {
         let Self {
             deployment,
             spec,
             mut reports,
         } = self;
-        reports.sort_by_cached_key(|report| report.outer.to_bytes());
+        canonicalize_batch(&mut reports);
         deployment.ingest(&spec, &reports)
     }
 }

@@ -44,8 +44,8 @@ pub mod wire;
 
 pub use analyzer::{Analyzer, AnalyzerDatabase};
 pub use deployment::{
-    crowd_prefix, epoch_rng, Deployment, DeploymentBuilder, EpochSession, EpochSpec,
-    PipelineReport, ShardedDeployment, ShardedReport, ShufflerRole, Topology,
+    canonicalize_batch, crowd_prefix, epoch_rng, Deployment, DeploymentBuilder, EpochSession,
+    EpochSpec, PipelineReport, ShardedDeployment, ShardedReport, ShufflerRole, Topology,
 };
 pub use encoder::{ClientKeys, CrowdStrategy, Encoder};
 pub use error::PipelineError;

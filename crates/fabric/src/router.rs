@@ -24,6 +24,7 @@ use prochlo_collector::protocol::{read_frame, write_frame, Request, Response};
 use prochlo_collector::queue::{BoundedQueue, PushError};
 use prochlo_collector::{CollectorError, ReportSink};
 use prochlo_core::ShardedDeployment;
+use prochlo_obs::Counter;
 
 /// Configuration of a running router.
 #[derive(Debug, Clone)]
@@ -73,23 +74,38 @@ pub struct RouterStats {
     pub forward_failures: u64,
 }
 
-#[derive(Default)]
-struct Counters {
+/// Everything the router threads share. Forwarding outcomes are counted
+/// once, in cells this router owns in the global registry
+/// (`fabric.router.*`); [`RouterStats`] is read from them.
+struct Shared {
+    shutting_down: AtomicBool,
     connections: AtomicU64,
     connections_refused: AtomicU64,
-    routed: AtomicU64,
-    rejected: AtomicU64,
-    forward_failures: AtomicU64,
+    routed: Counter,
+    rejected: Counter,
+    forward_failures: Counter,
 }
 
-impl Counters {
-    fn snapshot(&self) -> RouterStats {
+impl Shared {
+    fn new() -> Self {
+        let registry = prochlo_obs::global();
+        Shared {
+            shutting_down: AtomicBool::new(false),
+            connections: AtomicU64::new(0),
+            connections_refused: AtomicU64::new(0),
+            routed: registry.owned_counter("fabric.router.routed"),
+            rejected: registry.owned_counter("fabric.router.rejected"),
+            forward_failures: registry.owned_counter("fabric.router.forward_failures"),
+        }
+    }
+
+    fn stats(&self) -> RouterStats {
         RouterStats {
             connections: self.connections.load(Ordering::Relaxed),
             connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            routed: self.routed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            forward_failures: self.forward_failures.load(Ordering::Relaxed),
+            routed: self.routed.get(),
+            rejected: self.rejected.get(),
+            forward_failures: self.forward_failures.get(),
         }
     }
 }
@@ -119,8 +135,7 @@ impl Counters {
 /// ```
 pub struct ShardRouter {
     local_addr: SocketAddr,
-    counters: Arc<Counters>,
-    shutting_down: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     conn_queue: Arc<BoundedQueue<TcpStream>>,
     accept_thread: JoinHandle<()>,
     worker_threads: Vec<JoinHandle<()>>,
@@ -137,24 +152,21 @@ impl ShardRouter {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let counters = Arc::new(Counters::default());
-        let shutting_down = Arc::new(AtomicBool::new(false));
+        let shared = Arc::new(Shared::new());
         let conn_queue = Arc::new(BoundedQueue::new(config.conn_backlog));
         let make_sinks = Arc::new(make_sinks);
 
         let accept_thread = {
-            let counters = Arc::clone(&counters);
-            let shutting_down = Arc::clone(&shutting_down);
+            let shared = Arc::clone(&shared);
             let conn_queue = Arc::clone(&conn_queue);
             std::thread::Builder::new()
                 .name("router-accept".to_string())
-                .spawn(move || accept_loop(listener, &counters, &shutting_down, &conn_queue))?
+                .spawn(move || accept_loop(listener, &shared, &conn_queue))?
         };
 
         let worker_threads = (0..config.worker_threads.max(1))
             .map(|i| {
-                let counters = Arc::clone(&counters);
-                let shutting_down = Arc::clone(&shutting_down);
+                let shared = Arc::clone(&shared);
                 let conn_queue = Arc::clone(&conn_queue);
                 let make_sinks = Arc::clone(&make_sinks);
                 let config = config.clone();
@@ -168,13 +180,7 @@ impl ShardRouter {
                             Err(_) => return,
                         };
                         while let Some(stream) = conn_queue.pop() {
-                            let _ = serve_connection(
-                                stream,
-                                &mut sinks,
-                                &counters,
-                                &shutting_down,
-                                &config,
-                            );
+                            let _ = serve_connection(stream, &mut sinks, &shared, &config);
                         }
                     })
             })
@@ -182,8 +188,7 @@ impl ShardRouter {
 
         Ok(Self {
             local_addr,
-            counters,
-            shutting_down,
+            shared,
             conn_queue,
             accept_thread,
             worker_threads,
@@ -197,30 +202,25 @@ impl ShardRouter {
 
     /// A live snapshot of the router counters.
     pub fn stats(&self) -> RouterStats {
-        self.counters.snapshot()
+        self.shared.stats()
     }
 
     /// Stops accepting, drains connected clients, and returns the final
     /// counters.
     pub fn shutdown(self) -> RouterStats {
-        self.shutting_down.store(true, Ordering::SeqCst);
+        self.shared.shutting_down.store(true, Ordering::SeqCst);
         let _ = self.accept_thread.join();
         self.conn_queue.close();
         for worker in self.worker_threads {
             let _ = worker.join();
         }
-        self.counters.snapshot()
+        self.shared.stats()
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    counters: &Counters,
-    shutting_down: &AtomicBool,
-    conn_queue: &BoundedQueue<TcpStream>,
-) {
+fn accept_loop(listener: TcpListener, shared: &Shared, conn_queue: &BoundedQueue<TcpStream>) {
     loop {
-        if shutting_down.load(Ordering::SeqCst) {
+        if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
         let stream = match listener.accept() {
@@ -235,10 +235,10 @@ fn accept_loop(
         }
         match conn_queue.try_push(stream) {
             Ok(()) => {
-                counters.connections.fetch_add(1, Ordering::Relaxed);
+                shared.connections.fetch_add(1, Ordering::Relaxed);
             }
             Err(PushError::Full(stream) | PushError::Closed(stream)) => {
-                counters.connections_refused.fetch_add(1, Ordering::Relaxed);
+                shared.connections_refused.fetch_add(1, Ordering::Relaxed);
                 drop(stream);
             }
         }
@@ -248,21 +248,16 @@ fn accept_loop(
 fn serve_connection(
     stream: TcpStream,
     sinks: &mut [Box<dyn ReportSink + Send>],
-    counters: &Counters,
-    shutting_down: &AtomicBool,
+    shared: &Shared,
     config: &RouterConfig,
 ) -> Result<(), CollectorError> {
     stream.set_read_timeout(Some(config.io_timeout))?;
     stream.set_write_timeout(Some(config.io_timeout))?;
     stream.set_nodelay(true)?;
-    // Obs mirrors of the legacy counters, cached per connection.
-    let obs_routed = prochlo_obs::counter("fabric.router.routed");
-    let obs_rejected = prochlo_obs::counter("fabric.router.rejected");
-    let obs_forward_failures = prochlo_obs::counter("fabric.router.forward_failures");
     let mut reader = std::io::BufReader::new(stream.try_clone()?);
     let mut writer = std::io::BufWriter::new(stream);
     loop {
-        if shutting_down.load(Ordering::SeqCst) {
+        if shared.shutting_down.load(Ordering::SeqCst) {
             return Err(CollectorError::ShuttingDown);
         }
         let body = match read_frame(&mut reader, config.max_frame_len) {
@@ -282,22 +277,19 @@ fn serve_connection(
                 span.finish();
                 match forwarded {
                     Ok(verdict) => {
-                        counters.routed.fetch_add(1, Ordering::Relaxed);
-                        obs_routed.inc();
+                        shared.routed.inc();
                         verdict
                     }
                     Err(_) => {
                         // The forwarding leg died; tell the client to retry
                         // (the next attempt may land on a healthy worker).
-                        counters.forward_failures.fetch_add(1, Ordering::Relaxed);
-                        obs_forward_failures.inc();
+                        shared.forward_failures.inc();
                         Response::RetryAfter { millis: 100 }
                     }
                 }
             }
             Ok(Request::Submit { .. }) => {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-                obs_rejected.inc();
+                shared.rejected.inc();
                 Response::Rejected {
                     reason: "router requires routed submissions (SUBMIT_ROUTED)".to_string(),
                 }
@@ -310,8 +302,7 @@ fn serve_connection(
                 entries: prochlo_obs::snapshot().flat(),
             },
             Err(_) => {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-                obs_rejected.inc();
+                shared.rejected.inc();
                 let reject = Response::Rejected {
                     reason: "malformed request".to_string(),
                 };

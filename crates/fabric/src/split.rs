@@ -13,9 +13,9 @@
 //!   instead of processing it in-process, then analyzes the returned
 //!   items. Plugs into [`prochlo_collector::Collector::start_with_pipeline`].
 //!
-//! **Determinism contract.** The shard canonicalizes the batch (sorting by
-//! outer-ciphertext bytes, exactly as [`prochlo_core::EpochSession::finish`]
-//! does), derives the epoch RNG from `(seed, epoch_index)` and draws the two
+//! **Determinism contract.** The shard canonicalizes the batch with the
+//! same [`prochlo_core::canonicalize_batch`] that
+//! [`prochlo_core::EpochSession::finish`] calls, derives the epoch RNG from `(seed, epoch_index)` and draws the two
 //! per-stage sub-seeds with [`SplitShuffler::stage_seeds`] — the same draws,
 //! in the same order, as the in-process split topology. Each shuffler stage
 //! then runs on `StdRng::seed_from_u64(sub_seed)` via
@@ -33,8 +33,8 @@ use prochlo_collector::EpochPipeline;
 use prochlo_core::shuffler::split::{ShufflerOne, ShufflerTwo, SplitShuffler};
 use prochlo_core::shuffler::ShufflerStats;
 use prochlo_core::{
-    epoch_rng, exec, Analyzer, ClientReport, EpochSpec, PipelineError, PipelineReport,
-    TransportMetadata,
+    canonicalize_batch, epoch_rng, exec, Analyzer, ClientReport, EpochSpec, PipelineError,
+    PipelineReport, TransportMetadata,
 };
 use prochlo_crypto::edwards::Point;
 use prochlo_crypto::hybrid::HybridCiphertext;
@@ -208,7 +208,7 @@ impl EpochPipeline for RemoteSplitPipeline {
         // Canonicalize exactly as EpochSession::finish does, then draw the
         // per-stage sub-seeds the way the in-process split topology would:
         // the epoch RNG's first two u64s.
-        batch.sort_by_cached_key(|report| report.outer.to_bytes());
+        canonicalize_batch(&mut batch);
         let mut rng = epoch_rng(spec.seed, spec.epoch_index);
         let (s1_seed, s2_seed) = SplitShuffler::stage_seeds(&mut rng);
 

@@ -357,48 +357,29 @@ pub trait Transport: Send + Sync {
 /// global obs registry under `fabric.channel.<peer>/<stage>.*`:
 /// `frames_sent` / `bytes_sent` on the sender, `frames_received` /
 /// `bytes_received` on the receiver, and `out_of_order` for sequence
-/// errors. Disabled registries skip even the name formatting.
+/// errors. Like every counter they count whether or not `PROCHLO_OBS`
+/// is on, so channel totals mean the same thing in every process.
 pub(crate) mod metrics {
     use super::{ChannelId, Peer, Stage};
 
     /// One frame handed to the wire (or hub) for `to` on `stage`.
     pub(crate) fn frame_sent(to: Peer, stage: Stage, payload_bytes: usize) {
-        let registry = prochlo_obs::global();
-        if !registry.is_enabled() {
-            return;
-        }
         let channel = ChannelId::new(to, stage);
-        registry
-            .counter(&format!("fabric.channel.{channel}.frames_sent"))
-            .inc();
-        registry
-            .counter(&format!("fabric.channel.{channel}.bytes_sent"))
+        prochlo_obs::counter(&format!("fabric.channel.{channel}.frames_sent")).inc();
+        prochlo_obs::counter(&format!("fabric.channel.{channel}.bytes_sent"))
             .add(payload_bytes as u64);
     }
 
     /// One frame accepted in order on `channel`.
     pub(crate) fn frame_received(channel: ChannelId, payload_bytes: usize) {
-        let registry = prochlo_obs::global();
-        if !registry.is_enabled() {
-            return;
-        }
-        registry
-            .counter(&format!("fabric.channel.{channel}.frames_received"))
-            .inc();
-        registry
-            .counter(&format!("fabric.channel.{channel}.bytes_received"))
+        prochlo_obs::counter(&format!("fabric.channel.{channel}.frames_received")).inc();
+        prochlo_obs::counter(&format!("fabric.channel.{channel}.bytes_received"))
             .add(payload_bytes as u64);
     }
 
     /// One sequence error on `channel` (the stream is torn down after).
     pub(crate) fn out_of_order(channel: ChannelId) {
-        let registry = prochlo_obs::global();
-        if !registry.is_enabled() {
-            return;
-        }
-        registry
-            .counter(&format!("fabric.channel.{channel}.out_of_order"))
-            .inc();
+        prochlo_obs::counter(&format!("fabric.channel.{channel}.out_of_order")).inc();
     }
 }
 

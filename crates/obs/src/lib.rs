@@ -35,8 +35,10 @@
 //! # Knobs
 //!
 //! * `PROCHLO_OBS` — `1`/`on`/`true` (default) or `0`/`off`/`false`;
-//!   anything else is a hard error. When off, the global registry drops
-//!   every recording and [`span`] never reads the clock.
+//!   anything else is a hard error. It gates only what reads the clock:
+//!   when off, histograms record nothing and [`span`] never reads the
+//!   clock. Counters and gauges are the collector's and router's only
+//!   accounting, so they count either way.
 //! * `PROCHLO_OBS_PATH` — when set, epoch loops append flight-recorder
 //!   lines to this file (see [`FlightRecorder`]).
 //!
@@ -75,7 +77,8 @@ pub use unmeasured::Unmeasured;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-/// Environment variable enabling/disabling the global registry.
+/// Environment variable enabling/disabling the global registry's
+/// histograms and spans.
 pub const OBS_ENV: &str = "PROCHLO_OBS";
 
 /// The process-wide registry. Initialized on first use from

@@ -9,11 +9,18 @@
 //! concurrent first-registrations from different subsystems do not
 //! serialize on one lock.
 //!
+//! Counters and gauges are always-on accounting: they are the single
+//! record of what a collector or router did, so they count whether or not
+//! the registry is enabled. An instance that needs exact per-instance
+//! numbers registers *owned* cells ([`Registry::owned_counter`],
+//! [`Registry::owned_gauge`]); snapshots report a name as the sum of its
+//! cells. Disabling a registry ([`Registry::set_enabled`]) gates only what
+//! reads the clock: histograms and spans.
+//!
 //! Instruments never touch an RNG stream and never reorder work: every
-//! recording is a relaxed atomic on a pre-existing cell. Disabling a
-//! registry ([`Registry::set_enabled`]) turns every recording into a
-//! single relaxed load-and-skip, which is what keeps the seeded
-//! determinism contract trivially intact whether telemetry is on or off.
+//! recording is a relaxed atomic on a pre-existing cell, which is what
+//! keeps the seeded determinism contract trivially intact whether
+//! telemetry is on or off.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -82,18 +89,6 @@ fn shard_of(name: &str) -> usize {
     (h as usize) & (NUM_SHARDS - 1)
 }
 
-/// Shared cell behind a [`Counter`] handle.
-#[derive(Default)]
-struct CounterCell {
-    value: AtomicU64,
-}
-
-/// Shared cell behind a [`Gauge`] handle.
-#[derive(Default)]
-struct GaugeCell {
-    value: AtomicI64,
-}
-
 /// Shared cell behind a [`Histogram`] handle.
 struct HistogramCell {
     counts: [AtomicU64; NUM_BUCKETS],
@@ -113,14 +108,20 @@ impl Default for HistogramCell {
 
 /// A monotonically increasing event count (dedup hits, frames sent,
 /// reports accepted). Handles are `Arc`-backed: clone freely, cache in
-/// hot structs, and bump lock-free.
-#[derive(Clone)]
+/// hot structs, and bump lock-free. Always counts, enabled or not; each
+/// event is one relaxed atomic add.
+#[derive(Debug, Clone)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
-    cell: Arc<CounterCell>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
+    fn fresh() -> Self {
+        Counter {
+            cell: Arc::default(),
+        }
+    }
+
     /// Add 1.
     #[inline]
     pub fn inc(&self) {
@@ -130,41 +131,40 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// Current value of this handle's cell.
     pub fn get(&self) -> u64 {
-        self.cell.value.load(Ordering::Relaxed)
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// A point-in-time level (queue depth, EPC bytes in use). Signed so that
 /// matched `add`/`sub` pairs can momentarily cross zero under races
-/// without wrapping.
-#[derive(Clone)]
+/// without wrapping. Always records, enabled or not.
+#[derive(Debug, Clone)]
 pub struct Gauge {
-    enabled: Arc<AtomicBool>,
-    cell: Arc<GaugeCell>,
+    cell: Arc<AtomicI64>,
 }
 
 impl Gauge {
+    fn fresh() -> Self {
+        Gauge {
+            cell: Arc::default(),
+        }
+    }
+
     /// Set the level outright.
     #[inline]
     pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.value.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Raise the level by `n`.
     #[inline]
     pub fn add(&self, n: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Lower the level by `n`.
@@ -176,20 +176,18 @@ impl Gauge {
     /// Ratchet the level up to `v` if `v` is higher (peak tracking).
     #[inline]
     pub fn set_max(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.value.fetch_max(v, Ordering::Relaxed);
-        }
+        self.cell.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Current level.
+    /// Current level of this handle's cell.
     pub fn get(&self) -> i64 {
-        self.cell.value.load(Ordering::Relaxed)
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// A fixed-bucket latency histogram (exponential microsecond buckets,
 /// see [`bucket_bounds`]). Record durations directly or through a
-/// [`Span`].
+/// [`Span`]. Records nothing while its registry is disabled.
 #[derive(Clone)]
 pub struct Histogram {
     enabled: Arc<AtomicBool>,
@@ -233,12 +231,27 @@ impl Histogram {
     }
 }
 
-/// One instrument slot in the name table.
-#[derive(Clone)]
+/// One instrument slot in the name table. Counter and gauge slots hold
+/// every cell registered under the name: the shared cell first, then
+/// each owned cell. Snapshots report their sum.
 enum Instrument {
-    Counter(Counter),
-    Gauge(Gauge),
+    Counter(Vec<Counter>),
+    Gauge(Vec<Gauge>),
     Histogram(Histogram),
+}
+
+impl Instrument {
+    fn counter() -> Self {
+        Instrument::Counter(vec![Counter::fresh()])
+    }
+
+    fn gauge() -> Self {
+        Instrument::Gauge(vec![Gauge::fresh()])
+    }
+}
+
+fn type_mismatch(name: &str) -> ! {
+    panic!("metric {name:?} already registered with a different type")
 }
 
 /// A named-instrument table with on-demand snapshots.
@@ -290,54 +303,91 @@ impl Registry {
         }
     }
 
-    /// Whether recordings currently land anywhere.
+    /// Whether histograms and spans currently record. Counters and gauges
+    /// record either way.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Flip recording on or off. Existing handles observe the change
-    /// immediately; disabled handles cost one relaxed load per call.
+    /// Flip histogram and span recording on or off. Existing handles
+    /// observe the change immediately; disabled histograms cost one
+    /// relaxed load per call, and disabled spans never read the clock.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Look up or create the counter named `name`.
+    /// Look up or create the shared counter cell named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        match self.instrument(name, || {
-            Instrument::Counter(Counter {
-                enabled: Arc::clone(&self.enabled),
-                cell: Arc::new(CounterCell::default()),
-            })
-        }) {
-            Instrument::Counter(c) => c,
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
+        self.instrument(name, Instrument::counter, |i| match i {
+            Instrument::Counter(cells) => Some(cells[0].clone()),
+            _ => None,
+        })
     }
 
-    /// Look up or create the gauge named `name`.
+    /// Look up or create the shared gauge cell named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        match self.instrument(name, || {
-            Instrument::Gauge(Gauge {
-                enabled: Arc::clone(&self.enabled),
-                cell: Arc::new(GaugeCell::default()),
-            })
-        }) {
-            Instrument::Gauge(g) => g,
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
+        self.instrument(name, Instrument::gauge, |i| match i {
+            Instrument::Gauge(cells) => Some(cells[0].clone()),
+            _ => None,
+        })
     }
 
     /// Look up or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        match self.instrument(name, || {
+        let make = || {
             Instrument::Histogram(Histogram {
                 enabled: Arc::clone(&self.enabled),
                 cell: Arc::new(HistogramCell::default()),
             })
-        }) {
-            Instrument::Histogram(h) => h,
-            _ => panic!("metric {name:?} already registered with a different type"),
+        };
+        self.instrument(name, make, |i| match i {
+            Instrument::Histogram(h) => Some(h.clone()),
+            _ => None,
+        })
+    }
+
+    /// Register a fresh counter cell under `name`, owned by the caller:
+    /// the handle reads only what it recorded itself, while snapshots
+    /// report `name` as the sum of every cell registered under it. This
+    /// is how one of several instances sharing a registry (two collectors
+    /// in one process) keeps exact per-instance counts. Owned cells are
+    /// never deregistered.
+    ///
+    /// ```
+    /// let registry = prochlo_obs::Registry::new(false);
+    /// let a = registry.owned_counter("collector.ingest.accepted");
+    /// let b = registry.owned_counter("collector.ingest.accepted");
+    /// a.add(2);
+    /// b.add(3);
+    /// assert_eq!((a.get(), b.get()), (2, 3));
+    /// assert_eq!(registry.snapshot().get("collector.ingest.accepted"), Some(5.0));
+    /// ```
+    pub fn owned_counter(&self, name: &str) -> Counter {
+        let cell = Counter::fresh();
+        match self.shards[shard_of(name)]
+            .write()
+            .entry(name.to_owned())
+            .or_insert_with(Instrument::counter)
+        {
+            Instrument::Counter(cells) => cells.push(cell.clone()),
+            _ => type_mismatch(name),
         }
+        cell
+    }
+
+    /// Register a fresh gauge cell under `name`, owned by the caller; see
+    /// [`Self::owned_counter`]. Snapshots report the sum of the cells.
+    pub fn owned_gauge(&self, name: &str) -> Gauge {
+        let cell = Gauge::fresh();
+        match self.shards[shard_of(name)]
+            .write()
+            .entry(name.to_owned())
+            .or_insert_with(Instrument::gauge)
+        {
+            Instrument::Gauge(cells) => cells.push(cell.clone()),
+            _ => type_mismatch(name),
+        }
+        cell
     }
 
     /// Start a [`Span`] that records into the histogram named `name` when
@@ -351,13 +401,19 @@ impl Registry {
         }
     }
 
-    fn instrument(&self, name: &str, make: impl FnOnce() -> Instrument) -> Instrument {
+    /// Reads `pick` from the slot for `name`, creating the slot with
+    /// `make` on first use.
+    fn instrument<T>(
+        &self,
+        name: &str,
+        make: impl FnOnce() -> Instrument,
+        pick: impl Fn(&Instrument) -> Option<T>,
+    ) -> T {
         let shard = &self.shards[shard_of(name)];
-        if let Some(found) = shard.read().get(name) {
-            return found.clone();
-        }
-        let mut map = shard.write();
-        map.entry(name.to_owned()).or_insert_with(make).clone()
+        let found = shard.read().get(name).map(&pick);
+        found
+            .unwrap_or_else(|| pick(shard.write().entry(name.to_owned()).or_insert_with(make)))
+            .unwrap_or_else(|| type_mismatch(name))
     }
 
     /// Collect a point-in-time [`Snapshot`] of every instrument, sorted
@@ -370,8 +426,12 @@ impl Registry {
             let map = shard.read();
             for (name, inst) in map.iter() {
                 let value = match inst {
-                    Instrument::Counter(c) => SnapshotValue::Counter(c.get()),
-                    Instrument::Gauge(g) => SnapshotValue::Gauge(g.get()),
+                    Instrument::Counter(cells) => {
+                        SnapshotValue::Counter(cells.iter().map(Counter::get).sum())
+                    }
+                    Instrument::Gauge(cells) => {
+                        SnapshotValue::Gauge(cells.iter().map(Gauge::get).sum())
+                    }
                     Instrument::Histogram(h) => SnapshotValue::Histogram(Box::new(h.snapshot())),
                 };
                 entries.push(SnapshotEntry {
@@ -411,25 +471,56 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing() {
+        // Disabled means no clock reads: histograms and spans record
+        // nothing, while counters and gauges keep counting.
         let r = Registry::new(false);
         let c = r.counter("x");
         c.add(5);
+        let g = r.gauge("g");
+        g.add(2);
         let h = r.histogram("y");
         h.record(1.0);
-        assert_eq!(c.get(), 0);
+        assert_eq!(c.get(), 5);
+        assert_eq!(g.get(), 2);
         assert_eq!(h.count(), 0);
-        let span = r.span("y");
+        let span = r.span("z");
         assert_eq!(span.finish(), 0.0);
+        assert_eq!(
+            r.snapshot().get("z"),
+            None,
+            "a disabled span registers nothing"
+        );
     }
 
     #[test]
     fn reenabling_applies_to_existing_handles() {
         let r = Registry::new(false);
-        let c = r.counter("x");
-        c.inc();
+        let h = r.histogram("x");
+        h.record(1.0);
         r.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
+        h.record(1.0);
+        assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn owned_cells_are_exact_and_snapshots_sum_them() {
+        let r = Registry::new(true);
+        let shared = r.counter("c");
+        let a = r.owned_counter("c");
+        let b = r.owned_counter("c");
+        shared.inc();
+        a.add(10);
+        b.add(100);
+        assert_eq!((shared.get(), a.get(), b.get()), (1, 10, 100));
+        assert_eq!(r.counter("c").get(), 1, "lookups return the shared cell");
+        let ga = r.owned_gauge("g");
+        let gb = r.owned_gauge("g");
+        ga.add(3);
+        gb.add(4);
+        gb.sub(1);
+        let snap = r.snapshot();
+        assert_eq!(snap.get("c"), Some(111.0));
+        assert_eq!(snap.get("g"), Some(6.0));
     }
 
     #[test]

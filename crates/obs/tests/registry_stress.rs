@@ -1,9 +1,9 @@
-//! Registry concurrency and bucket-partition guarantees (ISSUE 7
-//! satellite): N writer threads sum exactly, snapshots taken mid-write
-//! are internally sane, and the histogram buckets partition `[0, +inf)`
-//! with no gaps or overlaps.
+//! Registry concurrency and bucket-partition guarantees: N writer threads
+//! sum exactly, owned cells stay exact per handle while snapshots sum
+//! them, snapshots taken mid-write are internally sane, and the histogram
+//! buckets partition `[0, +inf)` with no gaps or overlaps.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -42,39 +42,60 @@ fn concurrent_counter_and_histogram_sums_exactly() {
     assert_eq!(registry.histogram("stress.hist").count(), total);
 }
 
+/// Blocks until `started` reaches `writers`, so that what follows
+/// overlaps live writes on any scheduler (a 2-core host may otherwise
+/// finish the reader before any writer thread runs).
+fn wait_for_writers(started: &AtomicUsize, writers: usize) {
+    while started.load(Ordering::Acquire) < writers {
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn snapshot_while_writing_is_safe_and_monotonic() {
+    const WRITERS: usize = 4;
     let registry = Arc::new(Registry::new(true));
     let stop = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicUsize::new(0));
 
-    let writers: Vec<_> = (0..4)
+    let writers: Vec<_> = (0..WRITERS)
         .map(|t| {
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let counter = registry.counter("live.counter");
                 let hist = registry.histogram("live.hist");
                 // Register new names while snapshots run, to race the
                 // shard write locks too.
                 let mut n = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     counter.inc();
                     hist.record(1e-6);
                     if n.is_multiple_of(512) && n < 16_384 {
                         registry.counter(&format!("live.extra.{t}.{n}")).inc();
                     }
+                    if n == 0 {
+                        started.fetch_add(1, Ordering::Release);
+                    }
                     n += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
             })
         })
         .collect();
 
+    wait_for_writers(&started, WRITERS);
     let mut last_count = 0f64;
     for _ in 0..50 {
         let snap = registry.snapshot();
-        // Counter totals only grow, and every histogram is internally
-        // consistent (bucket sum == count used by get()).
+        // Every writer has recorded, so the counter is live from the
+        // first snapshot on; totals only grow, and every histogram is
+        // internally consistent (bucket sum == count used by get()).
         let count = snap.get("live.counter").unwrap_or(0.0);
+        assert!(count >= WRITERS as f64, "snapshot missed recorded writes");
         assert!(count >= last_count, "counter went backwards");
         last_count = count;
         for entry in &snap.entries {
@@ -88,7 +109,57 @@ fn snapshot_while_writing_is_safe_and_monotonic() {
     for w in writers {
         w.join().unwrap();
     }
-    assert!(registry.counter("live.counter").get() > 0);
+    let total = registry.counter("live.counter").get();
+    assert!(total as f64 >= last_count);
+    assert_eq!(registry.snapshot().get("live.counter"), Some(total as f64));
+}
+
+#[test]
+fn owned_cells_stay_exact_while_snapshots_sum_them() {
+    let registry = Arc::new(Registry::new(true));
+    let started = Arc::new(AtomicUsize::new(0));
+    let writers: Vec<_> = (0..THREADS as u64)
+        .map(|t| {
+            let registry = Arc::clone(&registry);
+            let started = Arc::clone(&started);
+            std::thread::spawn(move || {
+                // Each thread owns one cell under the shared name and
+                // writes a distinct amount, so a cell mix-up shows.
+                let cell = registry.owned_counter("owned.counter");
+                for i in 0..INCREMENTS {
+                    cell.add(t + 1);
+                    if i == 0 {
+                        started.fetch_add(1, Ordering::Release);
+                    }
+                }
+                cell
+            })
+        })
+        .collect();
+
+    wait_for_writers(&started, THREADS);
+    let mut last = 0f64;
+    for _ in 0..50 {
+        let now = registry.snapshot().get("owned.counter").unwrap_or(0.0);
+        assert!(now >= last, "owned-cell sum went backwards");
+        last = now;
+    }
+    let mut expected_total = 0;
+    for (t, writer) in writers.into_iter().enumerate() {
+        let cell = writer.join().unwrap();
+        let expected = (t as u64 + 1) * INCREMENTS;
+        assert_eq!(cell.get(), expected, "cell {t} is not exact");
+        expected_total += expected;
+    }
+    assert_eq!(
+        registry.counter("owned.counter").get(),
+        0,
+        "shared cell untouched"
+    );
+    assert_eq!(
+        registry.snapshot().get("owned.counter"),
+        Some(expected_total as f64)
+    );
 }
 
 #[test]

@@ -86,7 +86,7 @@ fn main() {
     // Per-phase timing now lives on the process-wide telemetry registry:
     // one table covers ingest submit latency, epoch processing, and the
     // shuffler phase spans that used to be hand-printed per epoch.
-    println!("\nobservability snapshot (PROCHLO_OBS=0 disables collection):");
+    println!("\nobservability snapshot (PROCHLO_OBS=0 disables latency histograms):");
     print!("{}", prochlo_obs::snapshot().render_table());
 
     // The analytic price of the selected backend, projected at this run's

@@ -103,6 +103,61 @@ fn live_stats_snapshot_matches_collector_summary() {
     );
 }
 
+/// `PROCHLO_OBS=0` gates only clock reads: a collector on a disabled
+/// registry still answers `STATS` with counters equal to its summary,
+/// while the latency histograms stay unregistered.
+#[test]
+fn stats_counters_survive_a_disabled_registry() {
+    let registry = Arc::new(prochlo_obs::Registry::new(false));
+    let config = CollectorConfig {
+        worker_threads: 2,
+        max_epoch_reports: 1_000_000,
+        epoch_deadline: Duration::from_secs(600),
+        registry: Some(Arc::clone(&registry)),
+        ..CollectorConfig::default()
+    };
+    let (collector, encoder) = start_collector(0x0b6, config);
+    let mut rng = StdRng::seed_from_u64(0x0b6 + 1);
+    let mut client = CollectorClient::connect(collector.local_addr()).unwrap();
+    submit_n(&mut client, &encoder, &mut rng, 9);
+    let entries = client.stats().expect("STATS");
+    drop(client);
+    let summary = collector.shutdown();
+
+    let get = |name: &str| entries.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    let stats = &summary.stats;
+    assert_eq!(stats.ingest.accepted, 9);
+    assert_eq!(
+        get("collector.ingest.accepted"),
+        Some(stats.ingest.accepted as f64)
+    );
+    assert_eq!(
+        get("collector.ingest.duplicates"),
+        Some(stats.ingest.duplicates as f64)
+    );
+    assert_eq!(
+        get("collector.ingest.rejected"),
+        Some(stats.ingest.rejected as f64)
+    );
+    assert_eq!(
+        get("collector.conns.accepted"),
+        Some(stats.connections as f64)
+    );
+    assert_eq!(get("collector.ingest.submit.count"), None);
+    // The epoch is cut at shutdown, after the wire snapshot; the
+    // registry holds it.
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.get("collector.epoch.reports"),
+        Some(stats.reports_processed as f64)
+    );
+    assert_eq!(
+        snap.get("collector.epoch.cut"),
+        Some(stats.epochs_cut as f64)
+    );
+    assert_eq!(snap.get("collector.epoch.process"), None);
+}
+
 /// ISSUE acceptance: with `PROCHLO_OBS_PATH` set, the collector's epoch
 /// loop appends one BENCHJSON line per epoch, and `prochlo_bench`'s
 /// metric reader parses the file directly.
