@@ -13,7 +13,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, Criterion};
 use prochlo_bench::emit_metric;
 use prochlo_crypto::aead::{self, AeadKey};
-use prochlo_crypto::edwards::Point;
+use prochlo_crypto::edwards::{FixedBase, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
 use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
 use prochlo_crypto::scalar::Scalar;
@@ -56,6 +56,8 @@ fn bench_crypto(c: &mut Criterion) {
 
     let varbase = Point::mul_base(&Scalar::random(&mut rng));
     group.bench_function("point_mul_var", |b| b.iter(|| varbase.mul(&scalar)));
+    let fixed = FixedBase::new(&varbase);
+    group.bench_function("point_mul_fixed", |b| b.iter(|| fixed.mul(&scalar)));
 
     let points = batch_points(&mut rng);
     group.bench_function("batch_to_affine_64", |b| {
@@ -86,6 +88,11 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| ElGamalCiphertext::encrypt_hashed(&mut rng, elgamal.public_key(), b"crowd"))
     });
     group.bench_function("elgamal_blind", |b| b.iter(|| ciphertext.blind(&blinding)));
+    // Shuffler 1's form: the key's comb table is built once per batch.
+    let key_table = FixedBase::new(elgamal.public_key());
+    group.bench_function("elgamal_rerandomize", |b| {
+        b.iter(|| ciphertext.rerandomize(&mut rng, &key_table))
+    });
     group.bench_function("elgamal_decrypt", |b| {
         b.iter(|| elgamal.decrypt(&ciphertext))
     });
@@ -144,6 +151,12 @@ fn emit_benchjson() {
         measure_ns(|| varbase.mul(&scalar)),
         1.0,
     );
+    let fixed = FixedBase::new(&varbase);
+    emit_ops_per_sec(
+        "point_mul_fixed_ops_per_sec",
+        measure_ns(|| fixed.mul(&scalar)),
+        1.0,
+    );
     let points = batch_points(&mut rng);
     emit_ops_per_sec(
         "batch_to_affine_64_points_per_sec",
@@ -179,6 +192,12 @@ fn emit_benchjson() {
     emit_ops_per_sec(
         "elgamal_blind_ops_per_sec",
         measure_ns(|| ciphertext.blind(&blinding)),
+        1.0,
+    );
+    let key_table = FixedBase::new(elgamal.public_key());
+    emit_ops_per_sec(
+        "elgamal_rerandomize_ops_per_sec",
+        measure_ns(|| ciphertext.rerandomize(&mut rng, &key_table)),
         1.0,
     );
 }

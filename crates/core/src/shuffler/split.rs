@@ -21,9 +21,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use prochlo_crypto::edwards::Point;
+use prochlo_crypto::edwards::{CompressedPoint, FixedBase, Point};
 use prochlo_crypto::elgamal::{BlindingSecret, ElGamalCiphertext, ElGamalKeypair};
-use prochlo_crypto::hybrid::HybridKeypair;
+use prochlo_crypto::hybrid::{HybridCiphertext, HybridKeypair};
 use prochlo_crypto::PublicKey;
 use prochlo_stats::{Gaussian, RoundedNormal};
 
@@ -92,15 +92,18 @@ impl ShufflerOne {
     ) -> Result<(Vec<BlindedRecord>, ShufflerStats), PipelineError> {
         let peel_span = prochlo_obs::span("shuffler.s1.peel");
         let blinding = BlindingSecret::random(rng);
+        // Every record is rerandomized under the same key: one comb table
+        // per batch replaces a variable-base multiplication per record.
+        let elgamal_table = FixedBase::new(elgamal_public);
+        let opened = HybridCiphertext::open_batch(
+            reports.iter().map(|report| &report.outer),
+            self.keys.secret(),
+            SHUFFLER_AAD,
+        );
         let mut rejected = 0usize;
         let mut records = Vec::with_capacity(reports.len());
-        for report in reports {
-            let envelope = match report
-                .outer
-                .open(self.keys.secret(), SHUFFLER_AAD)
-                .ok()
-                .and_then(|bytes| ShufflerEnvelope::from_bytes(&bytes).ok())
-            {
+        for bytes in opened {
+            let envelope = match bytes.and_then(|bytes| ShufflerEnvelope::from_bytes(&bytes).ok()) {
                 Some(e) => e,
                 None => {
                     rejected += 1;
@@ -108,7 +111,7 @@ impl ShufflerOne {
                 }
             };
             let blinded_crowd = match envelope.crowd_id {
-                CrowdId::Blinded(ct) => ct.blind(&blinding).rerandomize(rng, elgamal_public),
+                CrowdId::Blinded(ct) => ct.blind(&blinding).rerandomize(rng, &elgamal_table),
                 _ => {
                     // The split shuffler is only deployed for blinded crowd
                     // IDs; anything else indicates a misconfigured encoder.
@@ -177,10 +180,10 @@ impl ShufflerTwo {
         // must be a pure function of the seeded rng (see threshold() in
         // shuffler/mod.rs for the same fix).
         let mut groups: BTreeMap<[u8; 32], Vec<usize>> = BTreeMap::new();
+        let handles = self.handles(&records);
         let mut inners: Vec<Vec<u8>> = Vec::with_capacity(records.len());
-        for (idx, record) in records.into_iter().enumerate() {
-            let handle = self.elgamal.decrypt(&record.blinded_crowd).compress().0;
-            groups.entry(handle).or_default().push(idx);
+        for (idx, (handle, record)) in handles.into_iter().zip(records).enumerate() {
+            groups.entry(handle.0).or_default().push(idx);
             inners.push(record.inner);
         }
         stats.crowds_seen = groups.len();
@@ -202,7 +205,7 @@ impl ShufflerTwo {
             None
         };
 
-        let mut keep: Vec<usize> = Vec::new();
+        let mut keep = vec![false; inners.len()];
         for (_, mut members) in groups {
             if let Some(dist) = &drop_dist {
                 let d = (dist.sample(rng) as usize).min(members.len());
@@ -213,7 +216,9 @@ impl ShufflerTwo {
             let noise = noise_dist.as_ref().map_or(0.0, |d| d.sample(rng));
             if (members.len() as f64) > self.config.cardinality_threshold as f64 + noise {
                 stats.crowds_forwarded += 1;
-                keep.extend(members);
+                for idx in members {
+                    keep[idx] = true;
+                }
             } else {
                 stats.dropped_threshold += members.len();
             }
@@ -222,18 +227,26 @@ impl ShufflerTwo {
         stats.timings.threshold_seconds = threshold_span.finish();
 
         let shuffle_span = prochlo_obs::span("shuffler.s2.shuffle");
-        // prochlo-lint: allow(determinism-hash-iter, "membership set only: never iterated, so hash order cannot leak into the output")
-        let keep_set: std::collections::HashSet<usize> = keep.into_iter().collect();
         let mut survivors: Vec<Vec<u8>> = inners
             .into_iter()
-            .enumerate()
-            .filter_map(|(idx, inner)| keep_set.contains(&idx).then_some(inner))
+            .zip(keep)
+            .filter_map(|(inner, kept)| kept.then_some(inner))
             .collect();
         survivors.shuffle(rng);
         stats.forwarded = survivors.len();
         stats.shuffle_attempts = 1;
         stats.timings.shuffle_seconds = shuffle_span.finish();
         Ok((survivors, stats))
+    }
+
+    /// Decrypts each blinded crowd ID to its pseudonymous handle; the whole
+    /// batch is compressed with one field inversion.
+    fn handles(&self, records: &[BlindedRecord]) -> Vec<CompressedPoint> {
+        let points: Vec<Point> = records
+            .iter()
+            .map(|record| self.elgamal.decrypt(&record.blinded_crowd))
+            .collect();
+        Point::batch_compress(&points)
     }
 }
 
@@ -409,6 +422,81 @@ mod tests {
         let outcome = split.process_batch(&reports, &mut rng).unwrap();
         assert_eq!(outcome.stats.rejected, 1);
         assert_eq!(outcome.stage_stats[0].rejected, 1);
+    }
+
+    /// Reference for Shuffler 1: open, blind and rerandomize each record
+    /// under the bare key, and serialize each ciphertext on its own.
+    fn per_record_shuffler_one(
+        one: &ShufflerOne,
+        reports: &[ClientReport],
+        elgamal_public: &Point,
+        rng: &mut StdRng,
+    ) -> Vec<([u8; 64], Vec<u8>)> {
+        let blinding = BlindingSecret::random(rng);
+        let mut records = Vec::new();
+        for report in reports {
+            let Some(envelope) = report
+                .outer
+                .open(one.keys.secret(), SHUFFLER_AAD)
+                .ok()
+                .and_then(|bytes| ShufflerEnvelope::from_bytes(&bytes).ok())
+            else {
+                continue;
+            };
+            if let CrowdId::Blinded(ct) = envelope.crowd_id {
+                let crowd = ct.blind(&blinding).rerandomize(rng, elgamal_public);
+                records.push((crowd.to_bytes(), envelope.inner));
+            }
+        }
+        records.shuffle(rng);
+        records
+    }
+
+    #[test]
+    fn batched_crypto_matches_the_per_record_path() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (encoder, split, _analyzer) = setup(&mut rng);
+        let mut reports = blinded_reports(&encoder, b"alpha", 12, &mut rng);
+        reports.extend(blinded_reports(&encoder, b"beta", 9, &mut rng));
+        // A garbage ephemeral key, a flipped tag byte and a hashed crowd ID
+        // must each be rejected without shifting their neighbours.
+        reports[3].outer.ephemeral = [0x11; 32];
+        let last = reports[7].outer.sealed.len() - 1;
+        reports[7].outer.sealed[last] ^= 1;
+        reports.insert(
+            10,
+            encoder
+                .encode_plain(b"alpha", CrowdStrategy::Hash(b"alpha"), 99, &mut rng)
+                .unwrap(),
+        );
+        let elgamal_public = split.two.elgamal_public();
+
+        let (records, stats) = split
+            .one
+            .process_batch(&reports, elgamal_public, &mut StdRng::seed_from_u64(11))
+            .unwrap();
+        assert_eq!(stats.rejected, 3);
+        assert_eq!(records.len(), reports.len() - 3);
+        let reference = per_record_shuffler_one(
+            &split.one,
+            &reports,
+            elgamal_public,
+            &mut StdRng::seed_from_u64(11),
+        );
+        let forwarded: Vec<([u8; 64], Vec<u8>)> = records
+            .iter()
+            .map(|r| (r.blinded_crowd.to_bytes(), r.inner.clone()))
+            .collect();
+        assert_eq!(forwarded, reference);
+
+        let handles = split.two.handles(&records);
+        assert_eq!(handles.len(), records.len());
+        for (handle, record) in handles.iter().zip(&records) {
+            assert_eq!(
+                *handle,
+                split.two.elgamal.decrypt(&record.blinded_crowd).compress()
+            );
+        }
     }
 
     #[test]

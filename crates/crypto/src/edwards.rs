@@ -10,15 +10,21 @@
 //!
 //! Scalar multiplication is the pipeline's per-record cost floor (every
 //! report is hybrid-sealed, ElGamal-blinded and hybrid-opened), so both
-//! multiplication paths are windowed: [`Point::mul_base`] walks a
-//! lazily-built 64-entry fixed-base comb table of the basepoint, and
-//! [`Point::mul`] uses a signed 4-bit window over a per-call table of eight
-//! multiples. Bulk normalization goes through [`Point::batch_to_affine`]
-//! (Montgomery's trick: one inversion per batch). All paths compute exactly
-//! the same group elements as the schoolbook double-and-add ladder — the
-//! ladder is kept in the test suite as the oracle — and none of them are
-//! constant-time; the crate-level documentation spells out that this
-//! substrate targets functional fidelity, not side-channel resistance.
+//! multiplication paths are windowed. A [`FixedBase`] is a 64-entry
+//! 4-tooth comb table of one point, built from any [`Point`] for a little
+//! more than the cost of one multiplication: [`Point::mul_base`] walks the
+//! lazily-built table of the basepoint, and Shuffler 1 builds one per
+//! batch for the El Gamal key it rerandomizes under. [`Point::mul`] uses a
+//! signed 4-bit window over a per-call table of eight multiples;
+//! [`ScalarMul`] lets an operation take either form of a key. Bulk
+//! normalization goes through [`Point::batch_to_affine`] (Montgomery's
+//! trick: one inversion per batch), which the split shufflers use to
+//! compress every point they put on the wire or group by. All paths
+//! compute exactly the same group elements as the schoolbook
+//! double-and-add ladder — the ladder is kept in the test suite as the
+//! oracle — and none of them are constant-time; the crate-level
+//! documentation spells out that this substrate targets functional
+//! fidelity, not side-channel resistance.
 
 use std::sync::OnceLock;
 
@@ -153,7 +159,7 @@ impl CachedPoint {
 
 /// A precomputed point in affine "Niels" form `(y+x, y−x, 2dxy)` (Z = 1
 /// implied): adding one to an extended point costs 7 field multiplications.
-/// Used for the static fixed-base comb table.
+/// Used for the entries of a [`FixedBase`] comb table.
 #[derive(Clone, Copy)]
 struct AffineNiels {
     y_plus_x: FieldElement,
@@ -161,38 +167,46 @@ struct AffineNiels {
     t2d: FieldElement,
 }
 
-/// The fixed-base comb table: `TABLES[s][j] = 2^(16s) · Σ_{k ∈ bits(j)}
-/// 2^(64k) · B` for `s ∈ 0..4`, `j ∈ 0..16`. [`Point::mul_base`] reads the
-/// scalar as a 4-tooth comb (bit positions `b + 16s + 64k`), doing 15
-/// doublings and at most 64 table additions instead of the ladder's 256
-/// doublings — with every stored point normalized to affine Niels form in
-/// one batched inversion.
-struct CombTable {
+/// A fixed-base comb table for one point `P`: `tables[s][j] = Σ_{k ∈
+/// bits(j)} 2^(16s + 64k) · P` for `s ∈ 0..4`, `j ∈ 0..16`, every entry
+/// normalized to affine Niels form in one batched inversion.
+///
+/// [`Self::mul`] reads the scalar as a 4-tooth comb (bit positions
+/// `b + 16s + 64k`): 15 doublings and at most 64 cheap affine additions,
+/// against the windowed [`Point::mul`]'s 252 doublings and 64 additions.
+/// Building the table costs 240 doublings, 60 additions and one batched
+/// normalization — about 1.2 × [`Point::mul`] — so it pays for itself from
+/// the second multiplication of the same base. [`Point::mul_base`] is the
+/// process-wide table of the basepoint; callers that multiply another
+/// fixed point many times (Shuffler 1 rerandomizing under the El Gamal
+/// key) build their own.
+#[derive(Clone)]
+pub struct FixedBase {
     tables: [[AffineNiels; 16]; 4],
 }
 
-fn comb_table() -> &'static CombTable {
-    static TABLE: OnceLock<CombTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        // pow64[k] = 2^(64k) · B.
-        let mut pow64 = [*Point::basepoint(); 4];
-        for k in 1..4 {
-            pow64[k] = double_n(&pow64[k - 1], 64);
+impl std::fmt::Debug for FixedBase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "FixedBase(..)")
+    }
+}
+
+impl FixedBase {
+    /// Precomputes the comb table of `base`. Any curve point works,
+    /// including the identity and points with a small-order component.
+    pub fn new(base: &Point) -> FixedBase {
+        // pow[i] = 2^(16i) · P, so tooth k of sub-table s is pow[s + 4k].
+        let mut pow = [*base; 16];
+        for i in 1..16 {
+            pow[i] = double_n(&pow[i - 1], 16);
         }
-        // Subset sums over {B, 2^64 B, 2^128 B, 2^192 B}, then the three
-        // 16-doubling shifts.
         let mut extended = [[Point::identity(); 16]; 4];
-        for j in 1usize..16 {
-            let low = j & (j - 1); // j with its lowest set bit cleared
-            extended[0][j] = extended[0][low].add(&pow64[j.trailing_zeros() as usize]);
-        }
-        for s in 1..4 {
-            let (prior, current) = extended.split_at_mut(s);
-            for (slot, source) in current[0].iter_mut().zip(&prior[s - 1]).skip(1) {
-                *slot = double_n(source, 16);
+        for (s, table) in extended.iter_mut().enumerate() {
+            for j in 1usize..16 {
+                let low = j & (j - 1); // j with its lowest set bit cleared
+                table[j] = table[low].add(&pow[s + 4 * j.trailing_zeros() as usize]);
             }
         }
-        // One batched normalization for all 64 entries.
         let flat: Vec<Point> = extended.iter().flatten().copied().collect();
         let affine = Point::batch_to_affine(&flat);
         let mut tables = [[AffineNiels {
@@ -207,8 +221,59 @@ fn comb_table() -> &'static CombTable {
                 t2d: x.mul(&y).mul(curve_2d()),
             };
         }
-        CombTable { tables }
-    })
+        FixedBase { tables }
+    }
+
+    /// Multiplies the precomputed base by a scalar modulo the group order.
+    pub fn mul(&self, scalar: &Scalar) -> Point {
+        let bytes = scalar.to_bytes();
+        let bit = |position: usize| (bytes[position / 8] >> (position % 8)) & 1;
+        let mut acc = Point::identity();
+        for b in (0..16).rev() {
+            if b != 15 {
+                acc = acc.double();
+            }
+            for (s, sub_table) in self.tables.iter().enumerate() {
+                let base = b + 16 * s;
+                let j = (bit(base)
+                    | (bit(base + 64) << 1)
+                    | (bit(base + 128) << 2)
+                    | (bit(base + 192) << 3)) as usize;
+                if j != 0 {
+                    acc = acc.add_niels(&sub_table[j]);
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// The basepoint's comb table, built once per process on first use.
+fn basepoint_table() -> &'static FixedBase {
+    static TABLE: OnceLock<FixedBase> = OnceLock::new();
+    TABLE.get_or_init(|| FixedBase::new(Point::basepoint()))
+}
+
+/// A base that can be multiplied by a scalar: a bare [`Point`] (windowed,
+/// per-call table) or a precomputed [`FixedBase`] (comb). Lets operations
+/// such as [`crate::elgamal::ElGamalCiphertext::rerandomize`] take a key
+/// either way, so a caller multiplying one key many times can pass its
+/// table.
+pub trait ScalarMul {
+    /// `scalar · self`.
+    fn scalar_mul(&self, scalar: &Scalar) -> Point;
+}
+
+impl ScalarMul for Point {
+    fn scalar_mul(&self, scalar: &Scalar) -> Point {
+        self.mul(scalar)
+    }
+}
+
+impl ScalarMul for FixedBase {
+    fn scalar_mul(&self, scalar: &Scalar) -> Point {
+        self.mul(scalar)
+    }
 }
 
 /// Recodes a reduced scalar (< ℓ < 2^253) into 64 signed radix-16 digits in
@@ -443,32 +508,12 @@ impl Point {
 
     /// Multiplies the base point by a scalar.
     ///
-    /// Walks the lazily-initialized fixed-base comb table (built once per
-    /// process, ~64 precomputed points): 15 doublings plus at most 64
-    /// table additions — roughly a fifth of the point operations of even
-    /// the windowed [`Self::mul`], with every addition in the cheap affine
-    /// Niels form.
+    /// Walks the basepoint's [`FixedBase`] comb table (built once per
+    /// process): 15 doublings plus at most 64 table additions — roughly a
+    /// fifth of the point operations of even the windowed [`Self::mul`],
+    /// with every addition in the cheap affine Niels form.
     pub fn mul_base(scalar: &Scalar) -> Point {
-        let bytes = scalar.to_bytes();
-        let bit = |position: usize| (bytes[position / 8] >> (position % 8)) & 1;
-        let table = comb_table();
-        let mut acc = Point::identity();
-        for b in (0..16).rev() {
-            if b != 15 {
-                acc = acc.double();
-            }
-            for (s, sub_table) in table.tables.iter().enumerate() {
-                let base = b + 16 * s;
-                let j = (bit(base)
-                    | (bit(base + 64) << 1)
-                    | (bit(base + 128) << 2)
-                    | (bit(base + 192) << 3)) as usize;
-                if j != 0 {
-                    acc = acc.add_niels(&sub_table[j]);
-                }
-            }
-        }
-        acc
+        basepoint_table().mul(scalar)
     }
 
     /// Multiplies by the cofactor 8 (three doublings, chained projectively
@@ -764,6 +809,48 @@ mod tests {
         assert!(Point::batch_to_affine(&[]).is_empty());
     }
 
+    /// A point of order exactly 8: ℓ·Q = (ℓ−1)·Q + Q keeps only the
+    /// small-order component of a curve point Q that was never
+    /// cofactor-cleared.
+    fn order_eight_point() -> Point {
+        let l_minus_1 = Scalar::zero().sub(&Scalar::one());
+        (2u64..)
+            .filter_map(|y| Point::from_affine_y(&FieldElement::from_u64(y), false))
+            .map(|q| q.mul_ladder(&l_minus_1).add(&q))
+            .find(|t| !t.double().double().is_identity())
+            .expect("some small y has an order-8 component")
+    }
+
+    /// The boundary scalars of
+    /// `windowed_mul_matches_ladder_on_boundary_scalars` through tables of
+    /// a random point, the identity and a point with an order-8 component.
+    #[test]
+    fn fixed_base_matches_ladder_on_edge_bases_and_scalars() {
+        let torsion = order_eight_point();
+        assert!(torsion.mul_by_cofactor().is_identity());
+        let mut rng = StdRng::seed_from_u64(15);
+        let p = random_point(&mut rng);
+        let l_minus_1 = Scalar::zero().sub(&Scalar::from_u64(1));
+        let mut scalars = vec![
+            Scalar::zero(),
+            Scalar::one(),
+            Scalar::from_u64(2),
+            Scalar::from_u64(8),
+            l_minus_1,
+            l_minus_1.sub(&Scalar::one()),
+        ];
+        for fill in [0x0fu8, 0xf0, 0xff, 0x88, 0x77] {
+            scalars.push(Scalar::from_bytes_mod_order(&[fill; 32]));
+        }
+        for base in [p, Point::identity(), p.add(&torsion), torsion] {
+            let table = FixedBase::new(&base);
+            for s in &scalars {
+                assert_eq!(table.mul(s), base.mul_ladder(s));
+                assert_eq!(table.scalar_mul(s), base.scalar_mul(s));
+            }
+        }
+    }
+
     /// Many threads race `mul_base` before the comb table exists; `OnceLock`
     /// must hand every one of them the same correct table.
     #[test]
@@ -808,6 +895,16 @@ mod tests {
             let p = random_point(&mut rng);
             let t = Scalar::random(&mut rng);
             prop_assert_eq!(p.mul(&t), p.mul_ladder(&t));
+        }
+
+        /// A comb table of a random non-basepoint base agrees with the
+        /// retired ladder.
+        #[test]
+        fn prop_fixed_base_matches_ladder(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = random_point(&mut rng);
+            let s = Scalar::random(&mut rng);
+            prop_assert_eq!(FixedBase::new(&p).mul(&s), p.mul_ladder(&s));
         }
     }
 }

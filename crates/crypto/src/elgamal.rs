@@ -15,7 +15,7 @@
 
 use rand::Rng;
 
-use crate::edwards::{CompressedPoint, Point};
+use crate::edwards::{CompressedPoint, Point, ScalarMul};
 use crate::error::CryptoError;
 use crate::scalar::Scalar;
 
@@ -99,20 +99,43 @@ impl ElGamalCiphertext {
 
     /// Re-randomizes the ciphertext (fresh encryption of the same plaintext)
     /// so that Shuffler 1 can also unlink ciphertexts before forwarding.
-    pub fn rerandomize<R: Rng + ?Sized>(&self, rng: &mut R, public_key: &Point) -> Self {
+    ///
+    /// `public_key` is the recipient key as a bare [`Point`] or, for a
+    /// caller rerandomizing a whole batch, its
+    /// [`crate::edwards::FixedBase`] comb table; both give the same result.
+    pub fn rerandomize<R: Rng + ?Sized, K: ScalarMul>(&self, rng: &mut R, public_key: &K) -> Self {
         let s = Scalar::random_nonzero(rng);
         Self {
             r: self.r.add(&Point::mul_base(&s)),
-            c: self.c.add(&public_key.mul(&s)),
+            c: self.c.add(&public_key.scalar_mul(&s)),
         }
     }
 
     /// Serializes to 64 bytes (two compressed points).
     pub fn to_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        out[..32].copy_from_slice(self.r.compress().as_bytes());
-        out[32..].copy_from_slice(self.c.compress().as_bytes());
-        out
+        Self::batch_to_bytes([self])[0]
+    }
+
+    /// Serializes many ciphertexts, each exactly as [`Self::to_bytes`]
+    /// would, with one field inversion for all 2N points
+    /// ([`Point::batch_compress`]).
+    pub fn batch_to_bytes<'a, I>(ciphertexts: I) -> Vec<[u8; 64]>
+    where
+        I: IntoIterator<Item = &'a ElGamalCiphertext>,
+    {
+        let points: Vec<Point> = ciphertexts
+            .into_iter()
+            .flat_map(|ct| [ct.r, ct.c])
+            .collect();
+        Point::batch_compress(&points)
+            .chunks_exact(2)
+            .map(|pair| {
+                let mut out = [0u8; 64];
+                out[..32].copy_from_slice(pair[0].as_bytes());
+                out[32..].copy_from_slice(pair[1].as_bytes());
+                out
+            })
+            .collect()
     }
 
     /// Parses the 64-byte encoding.
@@ -150,6 +173,7 @@ impl BlindingSecret {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edwards::FixedBase;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,6 +233,12 @@ mod tests {
         let rr = ct.rerandomize(&mut rng, keys.public_key());
         assert_ne!(ct, rr);
         assert_eq!(keys.decrypt(&rr), mu);
+        // The comb table of the key draws the same scalar and lands on the
+        // same ciphertext as the bare key.
+        let table = FixedBase::new(keys.public_key());
+        let from_point = ct.rerandomize(&mut StdRng::seed_from_u64(40), keys.public_key());
+        let from_table = ct.rerandomize(&mut StdRng::seed_from_u64(40), &table);
+        assert_eq!(from_table, from_point);
     }
 
     #[test]
@@ -227,6 +257,34 @@ mod tests {
         let parsed = ElGamalCiphertext::from_bytes(&ct.to_bytes()).unwrap();
         assert_eq!(parsed, ct);
         assert!(ElGamalCiphertext::from_bytes(&[0u8; 63]).is_err());
+    }
+
+    #[test]
+    fn batch_to_bytes_matches_per_ciphertext_encoding() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let keys = ElGamalKeypair::generate(&mut rng);
+        let blinding = BlindingSecret::random(&mut rng);
+        let mut batch: Vec<ElGamalCiphertext> = (0..5)
+            .map(|i| {
+                let ct = ElGamalCiphertext::encrypt_hashed(&mut rng, keys.public_key(), &[i]);
+                ct.blind(&blinding)
+            })
+            .collect();
+        // An identity component must encode the same way in a batch.
+        batch.push(ElGamalCiphertext {
+            r: Point::identity(),
+            c: batch[0].c,
+        });
+        let encoded = ElGamalCiphertext::batch_to_bytes(&batch);
+        assert_eq!(encoded.len(), batch.len());
+        for (ct, bytes) in batch.iter().zip(&encoded) {
+            let mut reference = [0u8; 64];
+            reference[..32].copy_from_slice(ct.r.compress().as_bytes());
+            reference[32..].copy_from_slice(ct.c.compress().as_bytes());
+            assert_eq!(*bytes, reference);
+            assert_eq!(*bytes, ct.to_bytes());
+        }
+        assert!(ElGamalCiphertext::batch_to_bytes(&[]).is_empty());
     }
 
     #[test]

@@ -96,11 +96,13 @@ impl HybridCiphertext {
     /// whole batch are normalized together via
     /// [`StaticSecret::agree_batch`], amortizing the field inversion that
     /// each individual agreement would otherwise pay during compression.
-    pub fn open_batch(
-        items: &[Self],
-        recipient: &StaticSecret,
-        aad: &[u8],
-    ) -> Vec<Option<Vec<u8>>> {
+    /// Takes the items by reference, so a caller holding ciphertexts inside
+    /// larger records can pass an iterator over them without cloning.
+    pub fn open_batch<'a, I>(items: I, recipient: &StaticSecret, aad: &[u8]) -> Vec<Option<Vec<u8>>>
+    where
+        I: IntoIterator<Item = &'a Self>,
+    {
+        let items: Vec<&Self> = items.into_iter().collect();
         // Parse all ephemerals first; undecodable ones are sieved out so the
         // batch agreement runs only over valid keys.
         let ephemerals: Vec<Option<PublicKey>> = items

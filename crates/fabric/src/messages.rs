@@ -257,6 +257,21 @@ pub struct BatchToTwo {
 }
 
 impl BatchToTwo {
+    /// Encodes Shuffler 1's output for the wire, the inverse of
+    /// [`Self::decode_records`]: every blinded crowd ID in its 64-byte
+    /// [`ElGamalCiphertext::to_bytes`] form, all 2N points compressed with
+    /// one field inversion.
+    pub fn encode_records(
+        records: Vec<prochlo_core::shuffler::split::BlindedRecord>,
+    ) -> Vec<([u8; 64], Vec<u8>)> {
+        let crowds = ElGamalCiphertext::batch_to_bytes(records.iter().map(|r| &r.blinded_crowd));
+        crowds
+            .into_iter()
+            .zip(records)
+            .map(|(crowd, record)| (crowd, record.inner))
+            .collect()
+    }
+
     /// Parses the blinded crowd IDs into curve points, rejecting invalid
     /// encodings.
     pub fn decode_records(
@@ -601,6 +616,47 @@ mod tests {
             ShardSummary::from_wire(&summary.to_wire()).unwrap(),
             summary
         );
+    }
+
+    #[test]
+    fn encode_records_matches_per_record_encoding() {
+        use prochlo_core::shuffler::split::BlindedRecord;
+        use prochlo_crypto::elgamal::{BlindingSecret, ElGamalKeypair};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let keys = ElGamalKeypair::generate(&mut rng);
+        let blinding = BlindingSecret::random(&mut rng);
+        let records: Vec<BlindedRecord> = (0..6u8)
+            .map(|i| BlindedRecord {
+                blinded_crowd: ElGamalCiphertext::encrypt_hashed(&mut rng, keys.public_key(), &[i])
+                    .blind(&blinding)
+                    .rerandomize(&mut rng, keys.public_key()),
+                inner: vec![i; 3],
+            })
+            .collect();
+        let reference: Vec<([u8; 64], Vec<u8>)> = records
+            .iter()
+            .map(|r| (r.blinded_crowd.to_bytes(), r.inner.clone()))
+            .collect();
+        let expected_points: Vec<ElGamalCiphertext> =
+            records.iter().map(|r| r.blinded_crowd).collect();
+
+        let batch = BatchToTwo {
+            shard: 0,
+            epoch_index: 0,
+            s2_seed: 0,
+            received: records.len(),
+            stage_one: sample_stats("blind"),
+            records: BatchToTwo::encode_records(records),
+        };
+        assert_eq!(batch.records, reference);
+        let decoded = batch.decode_records().unwrap();
+        let decoded_points: Vec<ElGamalCiphertext> =
+            decoded.iter().map(|r| r.blinded_crowd).collect();
+        assert_eq!(decoded_points, expected_points);
+        assert!(BatchToTwo::encode_records(Vec::new()).is_empty());
     }
 
     #[test]

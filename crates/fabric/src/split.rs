@@ -97,10 +97,7 @@ pub fn serve_shuffler_one(
                 s2_seed: batch.s2_seed,
                 received: reports.len(),
                 stage_one,
-                records: records
-                    .into_iter()
-                    .map(|r| (r.blinded_crowd.to_bytes(), r.inner))
-                    .collect(),
+                records: BatchToTwo::encode_records(records),
             };
             TypedChannel::<ToTwo>::new(
                 transport,
